@@ -35,11 +35,13 @@ from .discrimination import (
 from .duality import (
     CSV_HEADER,
     DualityReport,
+    PureDualityBatch,
     SchwarzChainReport,
     csv_row,
     duality_report,
     entropic_duality_report,
     l1_duality_report,
+    pure_duality_batch,
     schwarz_chain_check,
 )
 from .information import (
@@ -110,6 +112,7 @@ __all__ = [
     "PathDistribution",
     "Povm",
     "PovmValidation",
+    "PureDualityBatch",
     "RNG_ALGORITHM",
     "SchwarzChainReport",
     "SweepCell",
@@ -140,6 +143,7 @@ __all__ = [
     "positive_part_trace",
     "povm_success_probability",
     "pretty_good_measurement",
+    "pure_duality_batch",
     "pure_pair_trace_norm",
     "rel_ent_coherence",
     "rng_stream",

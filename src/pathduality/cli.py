@@ -9,26 +9,36 @@ Three commands, selected with --command:
   rows optionally to a CSV file.
 * sweep: trace a one-parameter family of configurations as CSV rows.
 
+Every report comes from the batched pure-state core, pure_duality_batch:
+verify feeds it one (N, d) cell at a time in chunks of VERIFY_CHUNK
+configurations, sweep feeds it its points, analyze its one configuration.
+
 Exit codes: 0 on success, 1 when a duality relation is violated beyond
---tolerance, 2 for usage or input errors. All randomness is derived from
---seed; the seed, generator name and tool version are echoed into every
-artifact, and rerunning any command with the same flags reproduces its
-output byte for byte.
+--tolerance, 2 for usage or input errors, 3 when a computation fails
+numerically (a matrix that is not positive semidefinite, a failed
+eigensolve). A numerical failure prints its cause and a replay address to
+stderr: the configuration JSON for analyze, (seed, cell, sample range) for
+verify, the family and parameter range for sweep.
+
+All randomness is derived from --seed; the seed, generator name and tool
+version are echoed into every artifact, and rerunning any command with the
+same flags reproduces its output byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
 from .coherence import l1_coherence
-from .discrimination import Ensemble, povm_success_probability, pretty_good_measurement
-from .duality import CSV_HEADER, DualityReport, csv_row, duality_report
+from .duality import CSV_HEADER, DualityReport, PureDualityBatch, pure_duality_batch
 from .information import accessible_info_lower_bound, holevo_quantity
 from .linalg import eig_hermitian
 from .model import (
@@ -46,9 +56,32 @@ __all__ = ["FAMILIES", "build_parser", "family_points", "main"]
 
 FAMILIES = ("overlap-scan", "prior-scan", "dimension-scan")
 
+#: Configurations per core call in verify; bounds memory for any --samples.
+VERIFY_CHUNK = 256
+
 
 class UsageError(ValueError):
     """Bad flags or bad input data; maps to exit code 2."""
+
+
+class NumericalFailure(Exception):
+    """A computation failed numerically; maps to exit code 3.
+
+    ``replay`` names the inputs that reproduce the failure.
+    """
+
+    def __init__(self, cause: BaseException, replay: str) -> None:
+        super().__init__(str(cause))
+        self.replay = replay
+
+
+@contextlib.contextmanager
+def _replayable(replay: str) -> Iterator[None]:
+    """Turn numerical errors raised inside the block into NumericalFailure."""
+    try:
+        yield
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise NumericalFailure(exc, replay) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,6 +146,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"pathduality: error: {exc}", file=sys.stderr)
         return 2
+    except NumericalFailure as exc:
+        print(f"pathduality: numerical failure: {exc}", file=sys.stderr)
+        print(f"replay: {exc.replay}", file=sys.stderr)
+        return 3
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -160,38 +197,47 @@ def _run_analyze(args: argparse.Namespace) -> int:
         raise UsageError("analyze requires --input")
     if args.format not in (None, "json"):
         raise UsageError("analyze emits JSON; use --format json")
+    if args.restarts < 0:
+        raise UsageError(f"--restarts must be >= 0, got {args.restarts}")
     config = _load_config(args.input)
+    config_json = config_to_json(config)
 
-    rho = particle_density(config)
-    rho_det = detector_density(config)
-    ensemble = Ensemble.from_config(config)
-    pgm = pretty_good_measurement(ensemble)
-    report = duality_report(config, pgm)
-    accessible = accessible_info_lower_bound(
-        config, restarts=args.restarts, seed=args.seed
-    )
-
-    payload: dict[str, Any] = {
-        "tool_version": __version__,
-        "rng_algorithm": RNG_ALGORITHM,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "config": config_to_json(config),
-        "n_paths": config.n_paths,
-        "detector_dim": config.detector_dim,
-        "particle_spectrum": [float(w) for w in eig_hermitian(rho.matrix).eigenvalues],
-        "detector_spectrum": [float(w) for w in eig_hermitian(rho_det.matrix).eigenvalues],
-        "l1_coherence": l1_coherence(rho),
-        "pgm_success_probability": povm_success_probability(pgm, ensemble),
-        "holevo_bound": holevo_quantity(config),
-        "accessible_info_lower_bound": accessible,
-        "l1_duality": _side(report, ("x", "ps_bound", "lhs_l1", "rhs_l1", "gap_l1")),
-        "entropic_duality": _side(report, ("c_rel", "mi", "h_priors", "gap_entropic")),
-    }
+    with _replayable(json.dumps(config_json)):
+        rho = particle_density(config)
+        rho_det = detector_density(config)
+        batch = _reports([config])
+        report = batch.report(0)
+        payload: dict[str, Any] = {
+            "tool_version": __version__,
+            "rng_algorithm": RNG_ALGORITHM,
+            "seed": args.seed,
+            "tolerance": args.tolerance,
+            "config": config_json,
+            "n_paths": config.n_paths,
+            "detector_dim": config.detector_dim,
+            "particle_spectrum": [float(w) for w in eig_hermitian(rho.matrix).eigenvalues],
+            "detector_spectrum": [float(w) for w in eig_hermitian(rho_det.matrix).eigenvalues],
+            "l1_coherence": l1_coherence(rho),
+            "pgm_success_probability": float(np.trace(batch.pgm_table[0])),
+            "holevo_bound": holevo_quantity(config),
+            "accessible_info_lower_bound": accessible_info_lower_bound(
+                config, restarts=args.restarts, seed=args.seed
+            ),
+            "l1_duality": _side(report, ("x", "ps_bound", "lhs_l1", "rhs_l1", "gap_l1")),
+            "entropic_duality": _side(report, ("c_rel", "mi", "h_priors", "gap_entropic")),
+        }
     violated = _is_violation(report, args.tolerance)
     payload["status"] = "violation" if violated else "ok"
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")
     return 1 if violated else 0
+
+
+def _reports(configs: Sequence[InterferometerConfig]) -> PureDualityBatch:
+    """Run the pure-state core on configurations of one shape."""
+    return pure_duality_batch(
+        np.stack([c.priors.probs for c in configs]),
+        np.stack([c.detectors.states for c in configs]),
+    )
 
 
 def _side(report: DualityReport, names: Iterable[str]) -> dict[str, float]:
@@ -232,23 +278,33 @@ def _run_verify(args: argparse.Namespace) -> int:
     )
     print(header, end="")
 
+    write_rows = bool(args.output) and args.format != "json"
     rows: list[str] = []
     cell_stats: dict[tuple[int, int], tuple[float, float]] = {}
-    worst_l1 = (np.inf, None)
-    worst_ent = (np.inf, None)
-    for sample in iter_sweep(spec):
-        povm = pretty_good_measurement(Ensemble.from_config(sample.config))
-        report = duality_report(sample.config, povm)
-        assert report.gap_l1 is not None and report.gap_entropic is not None
-        key = (sample.n, sample.d)
-        lo_l1, lo_ent = cell_stats.get(key, (np.inf, np.inf))
-        cell_stats[key] = (min(lo_l1, report.gap_l1), min(lo_ent, report.gap_entropic))
-        if report.gap_l1 < worst_l1[0]:
-            worst_l1 = (report.gap_l1, sample.config)
-        if report.gap_entropic < worst_ent[0]:
-            worst_ent = (report.gap_entropic, sample.config)
-        if args.output:
-            rows.append(csv_row(f"N{sample.n}/d{sample.d}/{sample.sample_index}", report))
+    worst_l1: tuple[float, InterferometerConfig | None] = (np.inf, None)
+    worst_ent: tuple[float, InterferometerConfig | None] = (np.inf, None)
+    samples = iter_sweep(spec)
+    for cell_index, (n, d) in enumerate(spec.cells()):
+        lo_l1 = lo_ent = np.inf
+        for start in range(0, spec.samples, VERIFY_CHUNK):
+            stop = min(start + VERIFY_CHUNK, spec.samples)
+            replay = (f"seed={spec.seed} cell={cell_index} (N={n}, d={d}) "
+                      f"samples={start}..{stop - 1}")
+            with _replayable(replay):
+                chunk = [s.config for s in itertools.islice(samples, stop - start)]
+                batch = _reports(chunk)
+            k_l1 = int(np.argmin(batch.gap_l1))
+            k_ent = int(np.argmin(batch.gap_entropic))
+            gap_l1 = float(batch.gap_l1[k_l1])
+            gap_ent = float(batch.gap_entropic[k_ent])
+            lo_l1, lo_ent = min(lo_l1, gap_l1), min(lo_ent, gap_ent)
+            if gap_l1 < worst_l1[0]:
+                worst_l1 = (gap_l1, chunk[k_l1])
+            if gap_ent < worst_ent[0]:
+                worst_ent = (gap_ent, chunk[k_ent])
+            if write_rows:
+                rows.extend(batch.csv_rows([f"N{n}/d{d}/{k}" for k in range(start, stop)]))
+        cell_stats[(n, d)] = (lo_l1, lo_ent)
 
     for (n, d), (gap_l1, gap_ent) in sorted(cell_stats.items()):
         print(f"N={n} d={d} worst_gap_l1={gap_l1:.3e} worst_gap_entropic={gap_ent:.3e}")
@@ -337,18 +393,27 @@ def _run_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep requires --family")
     if args.format not in (None, "csv"):
         raise UsageError("sweep emits CSV; use --format csv")
-    points = family_points(
-        args.family, steps=args.steps, seed=args.seed,
-        n=args.n if args.n is not None else 4,
-        overlap=args.overlap, prior_mode=args.prior_mode, alpha=args.alpha,
-    )
+    try:
+        points = family_points(
+            args.family, steps=args.steps, seed=args.seed,
+            n=args.n if args.n is not None else 4,
+            overlap=args.overlap, prior_mode=args.prior_mode, alpha=args.alpha,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     lines = [
         f"# pathduality sweep family={args.family} steps={args.steps} "
         f"seed={args.seed} rng={RNG_ALGORITHM} version={__version__}",
         CSV_HEADER,
     ]
-    for param, config in points:
-        povm = pretty_good_measurement(Ensemble.from_config(config))
-        lines.append(csv_row(param, duality_report(config, povm)))
+    # dimension-scan changes d from point to point; each run of equal shapes
+    # is one batch
+    by_shape = itertools.groupby(points, key=lambda point: point[1].detectors.states.shape)
+    for _, run in by_shape:
+        params, configs = zip(*run)
+        with _replayable(f"family={args.family} seed={args.seed} "
+                         f"param={params[0]:g}..{params[-1]:g}"):
+            batch = _reports(configs)
+        lines.extend(batch.csv_rows(params))
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0

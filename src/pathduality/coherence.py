@@ -27,7 +27,10 @@ EIGENVALUE_CLAMP = 1e-9
 
 
 def _entropy_bits(values: np.ndarray, clamp: float, what: str) -> float:
-    """-sum v log2 v over the positive entries, with 0 log 0 = 0."""
+    """-sum v log2 v over the positive entries, with 0 log 0 = 0.
+
+    A distribution concentrated on one entry gives +0.0, not -0.0.
+    """
     vals = np.asarray(values, dtype=np.float64)
     smallest = float(vals.min(initial=0.0))
     if smallest < -clamp:
@@ -35,7 +38,7 @@ def _entropy_bits(values: np.ndarray, clamp: float, what: str) -> float:
     vals = vals[vals > 0.0]
     if vals.size == 0:
         return 0.0
-    return float(-(vals * np.log2(vals)).sum())
+    return 0.0 - float((vals * np.log2(vals)).sum())
 
 
 def l1_coherence(rho: DensityMatrix) -> float:

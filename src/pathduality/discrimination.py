@@ -170,15 +170,17 @@ def success_upper_bound(ensemble: Ensemble) -> float:
 
         P_s <= 1/N + (1 / 2N) * sum_{i,j} ||p_i rho_i - p_j rho_j||_1
 
-    The double sum runs over all ordered pairs; the i = j terms vanish.
-    For N = 2 this is the exact Helstrom success probability.
+    The double sum runs over all ordered pairs; the i = j terms vanish and
+    the (i, j) and (j, i) terms are equal, so each unordered pair is
+    evaluated once and counted twice. For N = 2 this is the exact Helstrom
+    success probability.
     """
     n = ensemble.n_states
     total = 0.0
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             total += linalg.trace_norm(helstrom_matrix(ensemble, i, j))
-    return 1.0 / n + total / (2.0 * n)
+    return 1.0 / n + 2.0 * total / (2.0 * n)
 
 
 def povm_success_probability(povm: Povm, ensemble: Ensemble) -> float:

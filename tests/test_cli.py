@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from pathduality import NotHermitianError, NotPsdError, cli
 from pathduality.cli import family_points, main
 from pathduality.duality import CSV_HEADER
 
@@ -104,10 +106,41 @@ class TestAnalyze:
         assert code == 2
         assert "invalid configuration" in err
 
+    def test_negative_restarts_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, OVERLAP06)
+        code, out, err = run(capsys, "--command", "analyze", "--input", path,
+                             "--restarts", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--restarts" in err
+
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run(capsys, "--command", "analyze")
         assert code == 2
         assert "--input" in err
+
+    @pytest.mark.parametrize("error", [
+        NotPsdError("eigenvalue -1e-03"),
+        NotHermitianError("defect 1e-03"),
+        ValueError("radicand -1e-03"),
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+    ])
+    def test_numerical_failure_exits_3_with_config(self, tmp_path, monkeypatch,
+                                                   capsys, error):
+        def broken(probs, states):
+            raise error
+
+        monkeypatch.setattr(cli, "pure_duality_batch", broken)
+        path = write_config(tmp_path, OVERLAP06)
+        code, out, err = run(capsys, "--command", "analyze", "--input", path)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == f"pathduality: numerical failure: {error}"
+        assert lines[1].startswith("replay: ")
+        replayed = json.loads(lines[1][len("replay: "):])
+        assert replayed["probs"] == [0.5, 0.5]
+        assert replayed["detectors"]["dim"] == 2
 
     def test_wrong_format_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, OVERLAP06)
@@ -134,8 +167,11 @@ class TestVerify:
         assert "total_configs=8" in out
 
     def test_impossible_tolerance_is_a_negative_control(self, capsys):
+        # A negative tolerance demands gaps of at least 0.01, which the
+        # saturated N = 2 quadratic relation (gap_l1 = 0) never meets,
+        # whatever the sign of its round-off.
         code, out, _ = run(capsys, "--command", "verify", "--samples", "1",
-                           "--n", "2", "--d", "2", "--tolerance", "1e-30")
+                           "--n", "2", "--d", "2", "--tolerance", "-0.01")
         assert code == 1
         assert "FAIL" in out
         offender = json.loads(out.strip().splitlines()[-1])
@@ -178,6 +214,41 @@ class TestVerify:
         assert summary["grid"]["d"] == "2:2"
         assert summary["cells"][0]["n"] == 3
         assert summary["worst_gap_l1"] >= -1e-9
+
+    def test_lopsided_priors_pass(self, capsys):
+        # Dirichlet(0.01) priors make rho rank-deficient; the PGM table is
+        # still a valid distribution and both relations hold.
+        code, out, err = run(capsys, "--command", "verify", "--alpha", "0.01",
+                             "--samples", "50")
+        assert code == 0
+        assert out.strip().endswith("PASS")
+        assert err == ""
+
+    def test_numerical_failure_exits_3_with_replay_address(self, monkeypatch, capsys):
+        def broken(probs, states):
+            raise NotPsdError("eigenvalue -1.000e-03 below allowed -1e-09")
+
+        monkeypatch.setattr(cli, "pure_duality_batch", broken)
+        code, out, err = run(capsys, "--command", "verify", "--samples", "2",
+                             "--n", "3", "--d", "2", "--seed", "5")
+        assert code == 3
+        assert "PASS" not in out and "FAIL" not in out
+        lines = err.splitlines()
+        assert lines[0] == ("pathduality: numerical failure: "
+                            "eigenvalue -1.000e-03 below allowed -1e-09")
+        assert lines[1] == "replay: seed=5 cell=0 (N=3, d=2) samples=0..1"
+
+    def test_chunks_do_not_change_the_artifact(self, tmp_path, monkeypatch, capsys):
+        artifacts = []
+        for chunk in (1, 2, 256):
+            monkeypatch.setattr(cli, "VERIFY_CHUNK", chunk)
+            out_path = tmp_path / f"chunk{chunk}.csv"
+            code, out, _ = run(capsys, "--command", "verify", "--samples", "5",
+                               "--n-range", "2:3", "--d-range", "1:2",
+                               "--output", str(out_path))
+            assert code == 0
+            artifacts.append((out, out_path.read_bytes()))
+        assert artifacts[0] == artifacts[1] == artifacts[2]
 
     @pytest.mark.parametrize(
         "argv",
@@ -266,6 +337,23 @@ class TestSweep:
         ):
             assert float(value) == pytest.approx(side[key], abs=1e-12)
 
+    def test_numerical_failure_exits_3(self, monkeypatch, capsys):
+        def broken(probs, states):
+            raise NotPsdError("eigenvalue -1e-03")
+
+        monkeypatch.setattr(cli, "pure_duality_batch", broken)
+        code, out, err = run(capsys, "--command", "sweep", "--family", "overlap-scan",
+                             "--steps", "3")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[1] == "replay: family=overlap-scan seed=42 param=0..1"
+
+    def test_bad_alpha_exits_2(self, capsys):
+        code, _, err = run(capsys, "--command", "sweep", "--family", "dimension-scan",
+                           "--alpha", "0")
+        assert code == 2
+        assert "alpha" in err
+
     def test_missing_family_exits_2(self, capsys):
         code, _, err = run(capsys, "--command", "sweep")
         assert code == 2
@@ -287,6 +375,24 @@ class TestSweep:
         assert code == 0
         assert out == ""
         assert out_path.read_text().splitlines()[1] == CSV_HEADER
+
+
+@pytest.mark.parametrize("argv", [
+    ("--command", "sweep", "--family", "prior-scan"),
+    ("--command", "sweep", "--family", "prior-scan", "--overlap", "0.5"),
+    ("--command", "sweep", "--family", "overlap-scan"),
+    ("--command", "verify", "--samples", "3", "--seed", "42"),
+    ("--command", "verify", "--samples", "3", "--prior-mode", "uniform"),
+])
+def test_no_csv_field_is_negative_zero(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.csv"
+    code, _, _ = run(capsys, *argv, "--output", str(out_path))
+    assert code == 0
+    rows = [line for line in out_path.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert rows
+    for row in rows:
+        assert "-0" not in row.split(","), row
 
 
 class TestEntryPoints:

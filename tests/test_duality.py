@@ -9,18 +9,27 @@ from pathduality import (
     CSV_HEADER,
     Ensemble,
     InterferometerConfig,
+    JointDistribution,
     PathDistribution,
     accessible_info_lower_bound,
+    build_config,
     csv_row,
     duality_report,
     entropic_duality_report,
     helstrom_povm_two,
     l1_duality_report,
+    mutual_information,
+    normalized_coherence,
+    particle_density,
     pretty_good_measurement,
+    pure_duality_batch,
+    rel_ent_coherence,
     sample_random_povm,
     schwarz_chain_check,
     shannon_entropy,
+    success_upper_bound,
 )
+from pathduality.duality import REPORT_FIELDS
 from pathduality.model import DetectorSet
 
 from helpers import (
@@ -153,6 +162,125 @@ class TestMergedReport:
             "n_paths", "x", "ps_bound", "lhs_l1", "rhs_l1", "gap_l1",
             "c_rel", "mi", "h_priors", "gap_entropic",
         }
+
+
+def hard_config(seed, n, d, alpha, zeros, spread):
+    """A configuration from the regions where the numerics are delicate.
+
+    Priors are Dirichlet(alpha) with ``zeros`` of them set exactly to 0
+    (the largest always survives). Detector states are a common unit vector
+    plus ``spread`` times a random one, so spread -> 0 drives every overlap
+    to 1.
+    """
+    rng = rng_for(seed)
+    probs = rng.dirichlet(np.full(n, alpha))
+    probs[np.argsort(probs)[:zeros]] = 0.0
+    common = np.zeros(d, dtype=complex)
+    common[0] = 1.0
+    noise = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    states = common + spread * noise
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return build_config(probs / probs.sum(), states)
+
+
+@st.composite
+def hard_configs(draw, n=None, d=None):
+    n = draw(st.integers(2, 16)) if n is None else n
+    if d is None:
+        d = draw(st.sampled_from(sorted({1, 2, max(n // 2, 1), n, 2 * n})))
+    return hard_config(
+        seed=draw(seeds), n=n, d=d,
+        alpha=draw(st.sampled_from([0.01, 0.05, 1.0])),
+        zeros=draw(st.integers(0, n - 1)),
+        spread=draw(st.sampled_from([0.0, 1e-9, 1e-5, 1e-2, 1.0, 1e3])),
+    )
+
+
+@st.composite
+def same_shape_batches(draw):
+    n = draw(st.integers(2, 16))
+    d = draw(st.sampled_from(sorted({1, 2, n, 2 * n})))
+    return draw(st.lists(hard_configs(n=n, d=d), min_size=2, max_size=6))
+
+
+def core_of(configs):
+    return pure_duality_batch(
+        np.stack([c.priors.probs for c in configs]),
+        np.stack([c.detectors.states for c in configs]),
+    )
+
+
+def pgm_mutual_information(config):
+    """PGM mutual information through the general mixed-state path.
+
+    joint_distribution rejects entries below -1e-12, and the pseudo-inverse
+    square root leaves round-off larger than that in the tables of
+    rank-deficient ensembles, so the table is built here and clipped.
+    """
+    povm = pretty_good_measurement(Ensemble.from_config(config))
+    a = config.detectors.states
+    conditional = np.einsum("jk,ikl,jl->ij", a.conj(), np.stack(povm.elements), a).real
+    table = np.clip(conditional * config.priors.probs, 0.0, None)
+    return mutual_information(JointDistribution(table))
+
+
+class TestPureDualityBatch:
+    @given(hard_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_mixed_state_path(self, config):
+        batch = core_of([config])
+        rho = particle_density(config)
+        assert batch.x[0] == pytest.approx(normalized_coherence(rho), abs=1e-10)
+        assert batch.ps_bound[0] == pytest.approx(
+            success_upper_bound(Ensemble.from_config(config)), abs=1e-9
+        )
+        assert batch.c_rel[0] == pytest.approx(rel_ent_coherence(rho), abs=1e-9)
+        assert batch.h_priors[0] == pytest.approx(shannon_entropy(config.priors), abs=1e-12)
+        assert batch.mi[0] == pytest.approx(pgm_mutual_information(config), abs=1e-6)
+        assert batch.gap_l1[0] >= -1e-9
+        assert batch.gap_entropic[0] >= -1e-9
+
+    @given(hard_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_pgm_table_is_a_distribution_with_the_priors_as_marginal(self, config):
+        table = core_of([config]).pgm_table[0]
+        assert table.min() >= 0.0
+        assert np.abs(table.sum(axis=0) - config.priors.probs).max() <= 1e-12
+
+    @given(same_shape_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_and_single_calls_are_bit_identical(self, configs):
+        batch = core_of(configs)
+        for k, config in enumerate(configs):
+            single = core_of([config])
+            for name in REPORT_FIELDS + ("pgm_table",):
+                assert np.array_equal(getattr(batch, name)[k], getattr(single, name)[0]), name
+
+    def test_report_and_rows_match_the_arrays(self):
+        configs = [overlap_config(0.6), overlap_config(0.2, probs=(0.3, 0.7))]
+        batch = core_of(configs)
+        report = batch.report(1)
+        assert report.gap_entropic == batch.gap_entropic[1]
+        assert batch.csv_rows(["a", 0.5]) == [
+            csv_row("a", batch.report(0)), csv_row(0.5, report)
+        ]
+
+    def test_pure_entropies_are_positive_zero(self):
+        batch = core_of([basis_config([1.0, 0.0])])
+        for name in ("h_priors", "c_rel", "mi", "gap_entropic"):
+            value = getattr(batch, name)[0]
+            assert value == 0.0 and np.copysign(1.0, value) == 1.0, name
+
+    def test_rejects_unnormalized_states(self):
+        # Validation happens where inputs enter; corrupted rows that bypass
+        # it surface as errors, not as numbers.
+        states = np.array([[[2.0, 0.0], [2.0, 0.0]]], dtype=complex)
+        with pytest.raises(ValueError, match="radicand"):
+            pure_duality_batch(np.array([[0.5, 0.5]]), states)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="expected probs"):
+            pure_duality_batch(np.array([0.5, 0.5]), np.eye(2)[np.newaxis])
 
 
 class TestSchwarzChain:
