@@ -20,6 +20,7 @@ from .coherence import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from .core import CSV_HEADER, PureDualityBatch, pure_duality_batch
 from .discrimination import (
     DimensionMismatchError,
     Ensemble,
@@ -33,15 +34,11 @@ from .discrimination import (
     success_upper_bound,
 )
 from .duality import (
-    CSV_HEADER,
     DualityReport,
-    PureDualityBatch,
     SchwarzChainReport,
-    csv_row,
     duality_report,
     entropic_duality_report,
     l1_duality_report,
-    pure_duality_batch,
     schwarz_chain_check,
 )
 from .information import (
@@ -123,7 +120,6 @@ __all__ = [
     "build_config",
     "config_from_json",
     "config_to_json",
-    "csv_row",
     "detector_density",
     "duality_report",
     "eig_hermitian",

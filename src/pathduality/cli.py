@@ -37,18 +37,14 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .coherence import l1_coherence
-from .duality import CSV_HEADER, DualityReport, PureDualityBatch, pure_duality_batch
-from .information import accessible_info_lower_bound, holevo_quantity
-from .linalg import eig_hermitian
+from .core import CSV_HEADER, PureDualityBatch, pure_duality_batch
+from .information import accessible_info_lower_bound
 from .model import (
     ConfigFormatError,
     InterferometerConfig,
     build_config,
     config_from_json,
     config_to_json,
-    detector_density,
-    particle_density,
 )
 from .sampling import RNG_ALGORITHM, SweepSpec, iter_sweep, rng_stream, sample_config
 
@@ -203,10 +199,11 @@ def _run_analyze(args: argparse.Namespace) -> int:
     config_json = config_to_json(config)
 
     with _replayable(json.dumps(config_json)):
-        rho = particle_density(config)
-        rho_det = detector_density(config)
         batch = _reports([config])
-        report = batch.report(0)
+        spectrum = batch.spectrum[0]
+        # The detector state shares rho's at most min(N, d) nonzero
+        # eigenvalues: pad with d zeros and keep the top d.
+        d = config.detector_dim
         payload: dict[str, Any] = {
             "tool_version": __version__,
             "rng_algorithm": RNG_ALGORITHM,
@@ -215,18 +212,18 @@ def _run_analyze(args: argparse.Namespace) -> int:
             "config": config_json,
             "n_paths": config.n_paths,
             "detector_dim": config.detector_dim,
-            "particle_spectrum": [float(w) for w in eig_hermitian(rho.matrix).eigenvalues],
-            "detector_spectrum": [float(w) for w in eig_hermitian(rho_det.matrix).eigenvalues],
-            "l1_coherence": l1_coherence(rho),
+            "particle_spectrum": spectrum.tolist(),
+            "detector_spectrum": np.concatenate([np.zeros(d), spectrum])[-d:].tolist(),
+            "l1_coherence": float(config.n_paths * batch.x[0]),
             "pgm_success_probability": float(np.trace(batch.pgm_table[0])),
-            "holevo_bound": holevo_quantity(config),
+            "holevo_bound": float(batch.s_rho[0]),
             "accessible_info_lower_bound": accessible_info_lower_bound(
                 config, restarts=args.restarts, seed=args.seed
             ),
-            "l1_duality": _side(report, ("x", "ps_bound", "lhs_l1", "rhs_l1", "gap_l1")),
-            "entropic_duality": _side(report, ("c_rel", "mi", "h_priors", "gap_entropic")),
+            "l1_duality": _side(batch, ("x", "ps_bound", "lhs_l1", "rhs_l1", "gap_l1")),
+            "entropic_duality": _side(batch, ("c_rel", "mi", "h_priors", "gap_entropic")),
         }
-    violated = _is_violation(report, args.tolerance)
+    violated = min(batch.gap_l1[0], batch.gap_entropic[0]) < -args.tolerance
     payload["status"] = "violation" if violated else "ok"
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")
     return 1 if violated else 0
@@ -240,13 +237,8 @@ def _reports(configs: Sequence[InterferometerConfig]) -> PureDualityBatch:
     )
 
 
-def _side(report: DualityReport, names: Iterable[str]) -> dict[str, float]:
-    return {name: getattr(report, name) for name in names}
-
-
-def _is_violation(report: DualityReport, tolerance: float) -> bool:
-    gaps = [g for g in (report.gap_l1, report.gap_entropic) if g is not None]
-    return any(g < -tolerance for g in gaps)
+def _side(batch: PureDualityBatch, names: Iterable[str]) -> dict[str, float]:
+    return {name: float(getattr(batch, name)[0]) for name in names}
 
 
 def _run_verify(args: argparse.Namespace) -> int:

@@ -7,9 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from pathduality import NotHermitianError, NotPsdError, cli
+from pathduality import (
+    NotHermitianError,
+    NotPsdError,
+    cli,
+    config_to_json,
+    information,
+    rng_stream,
+    sample_config,
+)
 from pathduality.cli import family_points, main
-from pathduality.duality import CSV_HEADER
+from pathduality.core import CSV_HEADER
 
 ORTHO3 = {
     "probs": [0.2, 0.3, 0.5],
@@ -141,6 +149,40 @@ class TestAnalyze:
         replayed = json.loads(lines[1][len("replay: "):])
         assert replayed["probs"] == [0.5, 0.5]
         assert replayed["detectors"]["dim"] == 2
+
+    def rank_deficient_config(self, tmp_path):
+        # Stream (10003, 0, 0) at N = 8, d = 8, alpha = 0.05: its lopsided
+        # priors leave rho numerically rank-deficient, and its pretty good
+        # measurement built through pinv_sqrt had an entry of -1.4e-12.
+        config = sample_config(8, 8, rng_stream(10003, 0, 0), alpha=0.05)
+        return write_config(tmp_path, config_to_json(config))
+
+    def test_rank_deficient_pgm_exits_0_without_search(self, tmp_path, capsys):
+        path = self.rank_deficient_config(tmp_path)
+        code, out, _ = run(capsys, "--command", "analyze", "--input", path,
+                           "--restarts", "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "ok"
+        assert payload["accessible_info_lower_bound"] >= payload["entropic_duality"]["mi"]
+
+    def test_rank_deficient_pgm_exits_0_at_the_default_budget(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # Eight full restarts at N = 8 take about 40 s. The failure sat in
+        # the starting candidates, which do not depend on the budget, so the
+        # restarts are stubbed and only counted here.
+        starts = []
+
+        def no_search(coords, priors, rng):
+            starts.append(rng)
+            return 0.0
+
+        monkeypatch.setattr(information, "_ascend_rank_one_mi", no_search)
+        path = self.rank_deficient_config(tmp_path)
+        code, out, _ = run(capsys, "--command", "analyze", "--input", path)
+        assert code == 0
+        assert json.loads(out)["status"] == "ok"
+        assert len(starts) == 8
 
     def test_wrong_format_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, OVERLAP06)

@@ -1,5 +1,6 @@
 """Tests for the two duality relations and their reports."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from pathduality import (
     PathDistribution,
     accessible_info_lower_bound,
     build_config,
-    csv_row,
     duality_report,
     entropic_duality_report,
     helstrom_povm_two,
@@ -29,7 +29,7 @@ from pathduality import (
     shannon_entropy,
     success_upper_bound,
 )
-from pathduality.duality import REPORT_FIELDS
+from pathduality.core import REPORT_FIELDS
 from pathduality.model import DetectorSet
 
 from helpers import (
@@ -224,6 +224,36 @@ def pgm_mutual_information(config):
     return mutual_information(JointDistribution(table))
 
 
+def mp_pgm_mutual_information(config, digits=40):
+    """PGM mutual information at ``digits`` digits, from the priors and the
+    states renormalized at that precision, so that rho has exact rank."""
+    with mpmath.workdps(digits):
+        p = [mpmath.mpf(float(v)) for v in config.priors.probs]
+        p = [v / sum(p) for v in p]
+        states = []
+        for row in config.detectors.states:
+            vec = [mpmath.mpc(complex(z)) for z in row]
+            norm = mpmath.sqrt(sum(abs(z) ** 2 for z in vec))
+            states.append([z / norm for z in vec])
+        n = len(p)
+        rho = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                overlap = sum(x * mpmath.conj(y) for x, y in zip(states[i], states[j]))
+                rho[i, j] = mpmath.sqrt(p[i] * p[j]) * overlap
+        eigenvalues, vectors = mpmath.eighe(rho)
+        roots = [mpmath.sqrt(max(w, 0)) for w in eigenvalues]
+        table = [[abs(sum(vectors[i, k] * roots[k] * mpmath.conj(vectors[j, k])
+                          for k in range(n))) ** 2 for j in range(n)] for i in range(n)]
+
+        def entropy(values):
+            return -sum(v * mpmath.log(v, 2) for v in values if v > 0)
+
+        rows = [sum(table[i]) for i in range(n)]
+        cols = [sum(table[i][j] for i in range(n)) for j in range(n)]
+        return float(entropy(rows) + entropy(cols) - entropy(sum(table, [])))
+
+
 class TestPureDualityBatch:
     @given(hard_configs())
     @settings(max_examples=150, deadline=None)
@@ -236,7 +266,7 @@ class TestPureDualityBatch:
         )
         assert batch.c_rel[0] == pytest.approx(rel_ent_coherence(rho), abs=1e-9)
         assert batch.h_priors[0] == pytest.approx(shannon_entropy(config.priors), abs=1e-12)
-        assert batch.mi[0] == pytest.approx(pgm_mutual_information(config), abs=1e-6)
+        assert batch.mi[0] == pytest.approx(pgm_mutual_information(config), abs=1e-9)
         assert batch.gap_l1[0] >= -1e-9
         assert batch.gap_entropic[0] >= -1e-9
 
@@ -259,11 +289,27 @@ class TestPureDualityBatch:
     def test_report_and_rows_match_the_arrays(self):
         configs = [overlap_config(0.6), overlap_config(0.2, probs=(0.3, 0.7))]
         batch = core_of(configs)
-        report = batch.report(1)
-        assert report.gap_entropic == batch.gap_entropic[1]
-        assert batch.csv_rows(["a", 0.5]) == [
-            csv_row("a", batch.report(0)), csv_row(0.5, report)
-        ]
+        rows = batch.csv_rows(["a", 0.5])
+        assert [row.split(",")[0] for row in rows] == ["a", "0.5"]
+        for k, row in enumerate(rows):
+            values = [float(field) for field in row.split(",")[1:]]
+            assert values == [getattr(batch, name)[k] for name in REPORT_FIELDS]
+        assert l1_duality_report(configs[1]).gap_l1 == batch.gap_l1[1]
+
+    @pytest.mark.parametrize("n, d, alpha, seed", [
+        (5, 2, 1.0, 2), (5, 3, 1.0, 9), (6, 3, 1.0, 3), (6, 4, 1.0, 6),
+        (5, 3, 0.01, 5), (6, 5, 0.01, 5),
+    ])
+    def test_rank_deficient_pgm_matches_a_40_digit_reference(self, n, d, alpha, seed):
+        # d < N leaves rho with a kernel, which float64 returns as
+        # eigenvalues of order eps; their square roots once put 1-2e-8 bits
+        # of error into the first four cases' mutual information.
+        rng = np.random.default_rng([n, d, round(alpha * 100), seed])
+        probs = rng.dirichlet(np.full(n, alpha))
+        states = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        config = build_config(probs, states / np.linalg.norm(states, axis=1, keepdims=True))
+        assert core_of([config]).mi[0] == pytest.approx(mp_pgm_mutual_information(config),
+                                                        abs=1e-12)
 
     def test_pure_entropies_are_positive_zero(self):
         batch = core_of([basis_config([1.0, 0.0])])
@@ -318,11 +364,13 @@ class TestSchwarzChain:
 
     def test_crowded_low_dimension_leaves_schwarz_slack(self):
         # Four partially overlapping states in d = 2 sit strictly inside the
-        # chain: both links keep visible slack.
+        # Schwarz link. With the success bound standing in for P_s, lhs and
+        # pair_term_sum are the same sum, so the first link is an equality
+        # up to round-off.
         rng = rng_for(55)
         config = random_pure_config(rng, 4, 2)
         chain = schwarz_chain_check(config)
-        assert chain.lhs < chain.pair_term_sum
+        assert chain.lhs == pytest.approx(chain.pair_term_sum, abs=1e-15)
         assert chain.pair_term_sum < chain.schwarz_bound
 
 
@@ -333,23 +381,15 @@ class TestCsvRow:
         )
 
     def test_row_round_trips_through_repr_precision(self):
-        config = overlap_config(0.6)
-        povm = helstrom_povm_two(Ensemble.from_config(config))
-        report = duality_report(config, povm)
-        row = csv_row(0.6, report)
+        batch = core_of([overlap_config(0.6)])
+        (row,) = batch.csv_rows([0.6])
         fields = row.split(",")
         assert len(fields) == 10
         assert float(fields[0]) == 0.6
-        assert float(fields[1]) == report.x
-        assert float(fields[2]) == report.ps_bound
-        assert float(fields[9]) == report.gap_entropic
+        assert float(fields[1]) == batch.x[0]
+        assert float(fields[2]) == batch.ps_bound[0]
+        assert float(fields[9]) == batch.gap_entropic[0]
 
     def test_string_params_pass_through(self):
-        config = overlap_config(0.0)
-        povm = helstrom_povm_two(Ensemble.from_config(config))
-        row = csv_row("N2/d2/0", duality_report(config, povm))
+        (row,) = core_of([overlap_config(0.0)]).csv_rows(["N2/d2/0"])
         assert row.startswith("N2/d2/0,")
-
-    def test_needs_a_combined_report(self):
-        with pytest.raises(ValueError):
-            csv_row(0.0, l1_duality_report(overlap_config(0.1)))

@@ -23,6 +23,9 @@ from pathduality import (
     joint_distribution,
     mutual_information,
     pretty_good_measurement,
+    pure_duality_batch,
+    rng_stream,
+    sample_config,
     sample_random_povm,
     shannon_entropy,
 )
@@ -215,3 +218,23 @@ class TestAccessibleInfoLowerBound:
         value = accessible_info_lower_bound(config, restarts=2, seed=seed)
         assert value >= pgm_mi - 1e-12
         assert value <= holevo_quantity(config) + 1e-9
+
+
+#: Stream addresses (10003, cell, k) of sample_config(N, N, alpha=0.05), with
+#: N = 8, 12, 16 for cells 0, 1, 2: the 23 of k < 200 whose pretty good
+#: measurement, built through pinv_sqrt, had table entries below -1e-12.
+NEGATIVE_PGM_STREAMS = [
+    (0, 0), (0, 1), (0, 3), (0, 24), (0, 30), (0, 33), (0, 34), (0, 51),
+    (0, 66), (0, 75), (0, 82), (0, 141), (0, 158), (0, 161), (0, 163),
+    (0, 173), (0, 185), (1, 31), (1, 74), (1, 114), (1, 145), (1, 177),
+    (2, 64),
+]
+
+
+@pytest.mark.parametrize("cell, k", NEGATIVE_PGM_STREAMS)
+def test_rank_deficient_candidates_lie_between_pgm_and_holevo(cell, k):
+    n = (8, 12, 16)[cell]
+    config = sample_config(n, n, rng_stream(10003, cell, k), alpha=0.05)
+    core = pure_duality_batch(config.priors.probs[None], config.detectors.states[None])
+    value = accessible_info_lower_bound(config, restarts=0)
+    assert core.mi[0] <= value <= core.s_rho[0]
