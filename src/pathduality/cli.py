@@ -15,8 +15,9 @@ configurations, sweep feeds it its points, analyze its one configuration.
 
 Exit codes: 0 on success, 1 when a duality relation is violated beyond
 --tolerance, 2 for usage or input errors, 3 when a computation fails
-numerically (a matrix that is not positive semidefinite, a failed
-eigensolve). A numerical failure prints its cause and a replay address to
+numerically: the core fails only on a pair radicand below -RADICAND_TOL
+(ValueError) or an SVD that does not converge (LinAlgError). A numerical
+failure prints its cause and a replay address to
 stderr: the configuration JSON for analyze, (seed, cell, sample range) for
 verify, the family and parameter range for sweep.
 

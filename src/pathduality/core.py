@@ -2,8 +2,11 @@
 
 verify, sweep and analyze take every reported number from
 pure_duality_batch, and the accessible-information search takes its
-pretty-good-measurement candidate from it. The mixed-state functions are
-the reference the tests check it against; this module uses none of them.
+pretty-good-measurement candidate from it. The entropic side rests on one
+identity: rho = M M^H with M = sqrt(p) * states (N x d), so one thin SVD
+of M gives both rho's spectrum and rho^(1/2) for every (N, d). The
+mixed-state functions are the reference the tests check it against; this
+module uses none of them.
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coherence import EIGENVALUE_CLAMP
 from .discrimination import RADICAND_TOL
-from .linalg import NotPsdError
 
 __all__ = [
     "CSV_HEADER",
@@ -40,7 +41,8 @@ class PureDualityBatch:
     k. The entropic side uses the pretty good measurement, whose joint
     tables (rows are outcomes, columns path labels) are kept in pgm_table,
     shape (B, N, N). spectrum holds each rho's eigenvalues, shape (B, N),
-    ascending, with round-off below zero clamped to 0.
+    ascending: the squared singular values of sqrt(p) * states, so never
+    below zero, with N - min(N, d) exact zeros in front.
     """
 
     x: np.ndarray
@@ -87,21 +89,25 @@ def pure_duality_batch(probs: np.ndarray, states: np.ndarray) -> PureDualityBatc
     ``probs`` is (B, N) and ``states`` is (B, N, d): rows as validated by
     PathDistribution and DetectorSet, which this function does not repeat.
     With G the Gram matrix and rho_ij = sqrt(p_i p_j) G_ij the particle
-    state (priors exactly on the diagonal):
+    state:
 
     * X = sum_{i != j} |rho_ij| / N.
     * P_s is the success bound with every pair's trace norm in the closed
       form of pure_pair_trace_norm, which needs no eigensolve.
-    * S(rho) comes from one batched eigensolve, and C_rel = H(p) - S(rho)
-      because the diagonal of rho is p.
+    * rho = M M^H with M = sqrt(p) * states, so one batched thin SVD
+      M = U diag(s) V^H gives rho's spectrum s^2 and rho^(1/2) =
+      U diag(s) U^H. S(rho) is the entropy of s^2, and C_rel = H(p) -
+      S(rho) because the diagonal of rho is p.
     * The pretty good measurement's joint table is |(rho^(1/2))^T|^2 entry
       by entry (the square-root-measurement identity), so its mutual
       information needs neither a POVM nor a pseudo-inverse.
 
-    Eigenvalues within EIGENVALUE_CLAMP below zero count as zeros; lower
-    ones raise NotPsdError, and radicands below -RADICAND_TOL raise
-    ValueError. Every configuration's values are independent of the rest
-    of the batch, bit for bit.
+    Singular values are never negative, so no clamp is needed. Directions
+    in rho's kernel come back with singular values of order eps * s_max,
+    not eigenvalues of that order, so their share of the table is about
+    eps rather than sqrt(eps) and no rank cut is needed either. Radicands
+    below -RADICAND_TOL raise ValueError. Every configuration's values are
+    independent of the rest of the batch, bit for bit.
     """
     p = np.asarray(probs, dtype=np.float64)
     a = np.asarray(states, dtype=np.complex128)
@@ -116,7 +122,6 @@ def pure_duality_batch(probs: np.ndarray, states: np.ndarray) -> PureDualityBatc
     amp = np.sqrt(p)
     rho = amp[:, :, np.newaxis] * amp[:, np.newaxis, :] * gram
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
-    rho[:, diag, diag] = p
 
     coherence = np.abs(rho)
     coherence[:, diag, diag] = 0.0
@@ -131,23 +136,14 @@ def pure_duality_batch(probs: np.ndarray, states: np.ndarray) -> PureDualityBatc
     pair_norms = 2.0 * np.sqrt(np.clip(radicand, 0.0, None))
     ps = 1.0 / n + pair_norms.reshape(batch, n * n).sum(axis=1) / (2.0 * n)
 
-    eigenvalues, eigenvectors = np.linalg.eigh(rho)
-    smallest = float(eigenvalues[:, 0].min())
-    if smallest < -EIGENVALUE_CLAMP:
-        raise NotPsdError(f"eigenvalue {smallest:.3e} below allowed -{EIGENVALUE_CLAMP:.0e}")
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    # A rank-deficient rho returns its kernel as eigenvalues of order
-    # eps * lambda_max, whose square roots would put amplitudes near 1e-8
-    # into the table. The cut is per row, so batching changes no bit.
-    cutoff = n * np.finfo(np.float64).eps * eigenvalues[:, -1:]
-    support = np.where(eigenvalues > cutoff, eigenvalues, 0.0)
-    root = (eigenvectors * np.sqrt(support)[:, np.newaxis, :]) @ (
-        eigenvectors.conj().transpose(0, 2, 1)
-    )
+    u, s, _ = np.linalg.svd(amp[:, :, np.newaxis] * a, full_matrices=False)
+    spectrum = np.zeros((batch, n))
+    spectrum[:, n - s.shape[1]:] = s[:, ::-1] ** 2
+    root = (u * s[:, np.newaxis, :]) @ u.conj().transpose(0, 2, 1)
     table = (root.real**2 + root.imag**2).transpose(0, 2, 1)
 
     h = _entropy_rows(p)
-    c_rel = h - _entropy_rows(eigenvalues)
+    c_rel = h - _entropy_rows(spectrum)
     mi = (
         _entropy_rows(table.sum(axis=2))
         + _entropy_rows(table.sum(axis=1))
@@ -158,5 +154,5 @@ def pure_duality_batch(probs: np.ndarray, states: np.ndarray) -> PureDualityBatc
     return PureDualityBatch(
         x=x, ps_bound=ps, lhs_l1=lhs, rhs_l1=rhs, gap_l1=rhs - lhs,
         c_rel=c_rel, mi=mi, h_priors=h, gap_entropic=h - c_rel - mi,
-        pgm_table=table, spectrum=eigenvalues,
+        pgm_table=table, spectrum=spectrum,
     )

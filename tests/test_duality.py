@@ -12,11 +12,13 @@ from pathduality import (
     InterferometerConfig,
     JointDistribution,
     PathDistribution,
+    SweepSpec,
     accessible_info_lower_bound,
     build_config,
     duality_report,
     entropic_duality_report,
     helstrom_povm_two,
+    iter_sweep,
     l1_duality_report,
     mutual_information,
     normalized_coherence,
@@ -224,9 +226,14 @@ def pgm_mutual_information(config):
     return mutual_information(JointDistribution(table))
 
 
-def mp_pgm_mutual_information(config, digits=40):
-    """PGM mutual information at ``digits`` digits, from the priors and the
-    states renormalized at that precision, so that rho has exact rank."""
+def mp_entropic_reference(config, digits=40):
+    """S(rho) and the PGM mutual information at ``digits`` digits.
+
+    Both come from the priors and the states renormalized at that
+    precision, so that rho has exact rank. Setting rho's diagonal to the
+    float priors instead would give the reference a kernel near 1e-17 of
+    its own, which moves its mutual information by about 5e-9.
+    """
     with mpmath.workdps(digits):
         p = [mpmath.mpf(float(v)) for v in config.priors.probs]
         p = [v / sum(p) for v in p]
@@ -251,7 +258,9 @@ def mp_pgm_mutual_information(config, digits=40):
 
         rows = [sum(table[i]) for i in range(n)]
         cols = [sum(table[i][j] for i in range(n)) for j in range(n)]
-        return float(entropy(rows) + entropy(cols) - entropy(sum(table, [])))
+        return float(entropy(eigenvalues)), float(
+            entropy(rows) + entropy(cols) - entropy(sum(table, []))
+        )
 
 
 class TestPureDualityBatch:
@@ -308,8 +317,49 @@ class TestPureDualityBatch:
         probs = rng.dirichlet(np.full(n, alpha))
         states = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         config = build_config(probs, states / np.linalg.norm(states, axis=1, keepdims=True))
-        assert core_of([config]).mi[0] == pytest.approx(mp_pgm_mutual_information(config),
+        assert core_of([config]).mi[0] == pytest.approx(mp_entropic_reference(config)[1],
                                                         abs=1e-12)
+
+    @pytest.mark.parametrize("n, d, alpha, theta, seed", [
+        (3, 1, 1.0, None, 0), (4, 3, 1.0, None, 1), (5, 2, 1.0, None, 2),
+        (6, 1, 1.0, None, 3), (6, 4, 1.0, None, 4),
+        (12, 4, 0.5, 1e-4, 0), (12, 4, 0.5, 1e-4, 1), (12, 4, 0.5, 1e-6, 0),
+        (12, 4, 0.5, 1e-6, 1), (12, 4, 0.5, 1e-8, 0), (12, 4, 0.5, 1e-8, 1),
+        (5, 5, 0.05, None, 1), (4, 6, 0.05, None, 1), (6, 12, 0.05, None, 3),
+    ])
+    def test_entropic_side_matches_a_40_digit_reference(self, n, d, alpha, theta, seed):
+        # Random states at d < N and at d >= N with lopsided priors, and
+        # near-parallel states e0 + theta * g, whose S(rho) is as small as
+        # 2e-14 at theta = 1e-8. An eigensolve of rho returned its kernel
+        # as eigenvalues of order eps, which cost S(rho) up to 1.4e-14 and
+        # the mutual information up to 2.9e-14 on these cases.
+        rng = np.random.default_rng([n, d, round(alpha * 100), seed])
+        probs = rng.dirichlet(np.full(n, alpha))
+        noise = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        states = noise if theta is None else np.eye(d)[0] + theta * noise
+        config = build_config(probs, states / np.linalg.norm(states, axis=1, keepdims=True))
+        s_rho, mi = mp_entropic_reference(config)
+        batch = core_of([config])
+        assert abs(batch.s_rho[0] - s_rho) <= 4e-15
+        assert abs(batch.mi[0] - mi) <= 1e-14
+
+    def test_exact_zeros_of_the_verify_grid(self):
+        # At d = 1 every state is the same up to phase, so S(rho), the
+        # mutual information and the entropic gap are exactly 0; at N = 2
+        # every pure pair saturates the quadratic relation. The values the
+        # core returns there are its round-off, bounded in magnitude.
+        cells = {}
+        for sample in iter_sweep(SweepSpec(seed=42)):
+            if sample.n == 2 or sample.d == 1:
+                cells.setdefault((sample.n, sample.d), []).append(sample.config)
+        for (n, d), configs in cells.items():
+            batch = core_of(configs)
+            if d == 1:
+                assert np.abs(batch.s_rho).max() <= 2e-15, (n, d)
+                assert np.abs(batch.mi).max() <= 5e-15, (n, d)
+                assert np.abs(batch.gap_entropic).max() <= 5e-15, (n, d)
+            if n == 2:
+                assert np.abs(batch.gap_l1).max() <= 5e-16, (n, d)
 
     def test_pure_entropies_are_positive_zero(self):
         batch = core_of([basis_config([1.0, 0.0])])
