@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--overlap", type=float, default=0.0,
                         help="fixed detector overlap for prior-scan")
     parser.add_argument("--restarts", type=int, default=8,
-                        help="accessible-information searches in analyze")
+                        help="accessible-information searches in analyze; "
+                        "used only at N >= 3 with detector states spanning "
+                        "two or more dimensions")
     return parser
 
 

@@ -1,15 +1,18 @@
 """Committed digests of the default artifacts: the byte contract across changes.
 
-``verify --seed 42 --output`` and the three sweep families at their default
-flags run in-process, and each CSV's sha256 must equal the digest below. A
-change that moves an artifact's bytes on purpose updates its digest and
-fingerprint in the same commit (run this file as a script to print both)
-and records in CHANGES.md which fields moved and by how much.
+``verify --seed 42 --output``, the three sweep families at their default
+flags and ``analyze --restarts 8`` on two configurations run in-process, and
+each artifact's sha256 must equal the digest below. A change that moves an
+artifact's bytes on purpose updates its digest and fingerprint in the same
+commit (run this file as a script to print both) and records in CHANGES.md
+which fields moved and by how much.
 
-The fingerprints in artifact_fingerprints.json only explain a mismatch: a
-CRC per line locates the first differing line, and each column's min, max
-and mean give a lower bound on its largest change, since none of the three
-moves by more than the largest change of any one field.
+The fingerprints in artifact_fingerprints.json only explain a mismatch. For
+a CSV, a CRC per line locates the first differing line, and each column's
+min, max and mean give a lower bound on its largest change, since none of
+the three moves by more than the largest change of any one field. For an
+``analyze`` report the fingerprint is the whole report, so each differing
+field is named with its change.
 """
 
 import hashlib
@@ -31,20 +34,48 @@ ARGV = {
     "dimension-scan": ["--command", "sweep", "--family", "dimension-scan"],
 }
 
+#: analyze inputs that run no search at any budget, so their reports are
+#: pinned at the default 8 restarts: a two-path pair, where the Helstrom
+#: measurement is optimal, and three parallel states with complex phases,
+#: where the accessible information is 0.
+ANALYZE = {
+    "analyze-overlap06": {
+        "probs": [0.5, 0.5],
+        "detectors": {"dim": 2, "states": [[[1.0, 0.0], [0.0, 0.0]],
+                                           [[0.6, 0.0], [0.8, 0.0]]]},
+    },
+    "analyze-parallel3": {
+        "probs": [0.2, 0.3, 0.5],
+        "detectors": {"dim": 2, "states": [[[0.6, 0.0], [0.8, 0.0]],
+                                           [[0.0, 0.6], [0.0, 0.8]],
+                                           [[-0.6, 0.0], [-0.8, 0.0]]]},
+    },
+}
+
 DIGESTS = {
     "verify": "b27935f87907ecee535d9c06ea8cc8aaeeefc2b75841019d3d9b06be64cb5b9b",
     "overlap-scan": "63e11da8fb96d2752896ea93dac40ba82286d1d2c9e699d29108e1a01680b85d",
     "prior-scan": "15ccac9840e657af0cf98e2f703af5c1edd4bb40e8f8372fdd55068f873453ce",
     "dimension-scan": "2dd79362938e60c3e130264ce3af9aefdb120a2f3dd085372ab2660d204bc33e",
+    "analyze-overlap06": "50bce58704e635ab64ab3f64dc38f18b4efa08637c2894bee3e732c874707c13",
+    "analyze-parallel3": "371dab53511cf0bdd250442b8804ca741c96e74afc5af112829746b45e04712d",
 }
 
 FINGERPRINTS = Path(__file__).with_name("artifact_fingerprints.json")
 
 
 def render(name, directory):
-    """Run one artifact's command in-process and return the CSV text."""
-    path = Path(directory) / f"{name}.csv"
-    assert main(ARGV[name] + ["--output", str(path)]) == 0
+    """Run one artifact's command in-process and return its text."""
+    directory = Path(directory)
+    if name in ANALYZE:
+        config = directory / f"{name}-input.json"
+        config.write_text(json.dumps(ANALYZE[name]), encoding="utf-8")
+        path = directory / f"{name}.json"
+        argv = ["--command", "analyze", "--input", str(config), "--restarts", "8"]
+    else:
+        path = directory / f"{name}.csv"
+        argv = ARGV[name]
+    assert main(argv + ["--output", str(path)]) == 0
     return path.read_text(encoding="utf-8")
 
 
@@ -58,7 +89,9 @@ def line_crcs(text):
     return [f"{zlib.crc32(line.encode()):08x}" for line in text.splitlines()]
 
 
-def fingerprint(text):
+def fingerprint(name, text):
+    if name in ANALYZE:
+        return {"report": json.loads(text)}
     return {
         "lines": "".join(line_crcs(text)),
         "columns": {
@@ -68,10 +101,40 @@ def fingerprint(text):
     }
 
 
+def leaves(value, prefix=""):
+    """(path, value) of every number or string in a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{prefix}.{key}" if prefix else key)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from leaves(item, f"{prefix}[{k}]")
+    else:
+        yield prefix, value
+
+
+def explain_report(name, text, expected):
+    """Each field of an analyze report that differs, with its change."""
+    now, before = dict(leaves(json.loads(text))), dict(leaves(expected["report"]))
+    report = [f"{name}: sha256 {hashlib.sha256(text.encode()).hexdigest()}, "
+              f"expected {DIGESTS[name]}"]
+    for field in list(before) + [f for f in now if f not in before]:
+        old, new = before.get(field), now.get(field)
+        if old == new:
+            continue
+        line = f"  {field}: {new!r}, expected {old!r}"
+        if isinstance(old, float) and isinstance(new, float):
+            line += f" (change {new - old:+.3g})"
+        report.append(line)
+    return "\n".join(report)
+
+
 def explain(name, text, expected):
     """The first differing line, and per field a lower bound on its largest
     change."""
-    lines, now = text.splitlines(), fingerprint(text)
+    if name in ANALYZE:
+        return explain_report(name, text, expected)
+    lines, now = text.splitlines(), fingerprint(name, text)
     before = [expected["lines"][k:k + 8] for k in range(0, len(expected["lines"]), 8)]
     first = next((k for k, (a, b) in enumerate(zip(line_crcs(text), before)) if a != b),
                  min(len(lines), len(before)))
@@ -88,7 +151,7 @@ def explain(name, text, expected):
     return "\n".join(report)
 
 
-@pytest.mark.parametrize("name", list(ARGV))
+@pytest.mark.parametrize("name", list(DIGESTS))
 def test_artifact_bytes_match_the_committed_digest(name, tmp_path, capsys):
     text = render(name, tmp_path)
     capsys.readouterr()
@@ -110,8 +173,9 @@ if __name__ == "__main__":
     directory = Path(sys.argv[1])
     directory.mkdir(parents=True, exist_ok=True)
     records = {}
-    for name in ARGV:
+    for name in DIGESTS:
         text = render(name, directory)
-        records[name] = {"sha256": hashlib.sha256(text.encode()).hexdigest(), **fingerprint(text)}
+        records[name] = {"sha256": hashlib.sha256(text.encode()).hexdigest(),
+                         **fingerprint(name, text)}
         print(f'    "{name}": "{records[name]["sha256"]}",', file=sys.stderr)
     FINGERPRINTS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")

@@ -184,6 +184,19 @@ class TestAnalyze:
         assert json.loads(out)["status"] == "ok"
         assert len(starts) == 8
 
+    def test_two_paths_exit_0_without_search(self, tmp_path, monkeypatch, capsys):
+        # At N = 2 the Helstrom measurement is optimal, so no budget runs a
+        # search.
+        def no_search(coords, priors, rng):
+            raise AssertionError("the rank-one search ran")
+
+        monkeypatch.setattr(information, "_ascend_rank_one_mi", no_search)
+        path = write_config(tmp_path, OVERLAP06)
+        code, out, _ = run(capsys, "--command", "analyze", "--input", path,
+                           "--restarts", "8")
+        assert code == 0
+        assert json.loads(out)["status"] == "ok"
+
     def test_wrong_format_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, OVERLAP06)
         code, _, _ = run(capsys, "--command", "analyze", "--input", path,

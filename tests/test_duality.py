@@ -361,6 +361,18 @@ class TestPureDualityBatch:
             if n == 2:
                 assert np.abs(batch.gap_l1).max() <= 5e-16, (n, d)
 
+    def test_exact_zeros_of_equal_prior_equiangular_sets(self):
+        # Equal priors and a real Gram matrix (1 - c) I + c J saturate the
+        # quadratic relation at every N and c: every |G_ij| is c, so Jensen's
+        # inequality behind the relation holds with equality. The states are
+        # the rows of its Cholesky factor, at d = N.
+        for n in range(3, 9):
+            for c in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6):
+                gram = (1.0 - c) * np.eye(n) + c * np.ones((n, n))
+                config = build_config(np.full(n, 1.0 / n), np.linalg.cholesky(gram))
+                gap = core_of([config]).gap_l1[0]
+                assert abs(gap) <= 2e-15, (n, c, gap)
+
     def test_pure_entropies_are_positive_zero(self):
         batch = core_of([basis_config([1.0, 0.0])])
         for name in ("h_priors", "c_rel", "mi", "gap_entropic"):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from helpers import (
     identical_config,
@@ -20,6 +21,7 @@ from pathduality import (
     accessible_info_lower_bound,
     helstrom_povm_two,
     holevo_quantity,
+    information,
     joint_distribution,
     mutual_information,
     pretty_good_measurement,
@@ -175,6 +177,49 @@ def grid_projective_max_mi(config, steps=20001):
     return best
 
 
+def two_outcome_mi(coords, priors, angles):
+    """MI of the projective measurement onto u = (cos t, e^{i f} sin t) and
+    its complement, for states with 2-d coordinates ``coords`` (2 x 2, one
+    state per row), at each (t, f) row of ``angles``."""
+    t, f = angles[:, 0], angles[:, 1]
+    u = np.stack([np.cos(t), np.exp(1j * f) * np.sin(t)], axis=1)
+    hit = np.abs(u.conj() @ coords.T) ** 2  # P(outcome 0 | path j)
+    table = np.stack([hit, 1.0 - hit], axis=1) * priors  # (grid, outcome, path)
+
+    def h(x):
+        x = np.clip(x, 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x > 0.0, -x * np.log2(x), 0.0)
+
+    return h(table.sum(axis=2)).sum(axis=1) + h(priors).sum() - h(table).sum(axis=(1, 2))
+
+
+def refined_projective_max_mi(config):
+    """Best two-outcome projective measurement in the span of two states.
+
+    The states get coordinates in an orthonormal basis of a plane holding
+    their span (padded with zeros at d = 1). An (angle, phase) grid over
+    t in [0, pi/2], f in [0, 2 pi) covers every such measurement up to
+    swapping the outcomes; Nelder-Mead then refines the two best grid points.
+    """
+    priors = config.priors.probs
+    states = config.detectors.states
+    _, _, vh = np.linalg.svd(states)
+    coords = np.zeros((2, 2), dtype=complex)
+    coords[:, : min(2, vh.shape[0])] = states @ vh[:2].conj().T
+    t, f = np.meshgrid(np.linspace(0.0, np.pi / 2, 33), np.linspace(0.0, 2 * np.pi, 32))
+    grid = np.stack([t.ravel(), f.ravel()], axis=1)
+    values = two_outcome_mi(coords, priors, grid)
+    best = float(values.max())
+    for start in grid[np.argsort(values)[-2:]]:
+        result = minimize(
+            lambda x: -two_outcome_mi(coords, priors, x[np.newaxis])[0], start,
+            method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-16},
+        )
+        best = max(best, -float(result.fun))
+    return best
+
+
 class TestAccessibleInfoLowerBound:
     def test_orthonormal_detectors(self):
         config = basis_config([0.2, 0.3, 0.5])
@@ -191,6 +236,19 @@ class TestAccessibleInfoLowerBound:
         assert value == pytest.approx(BSC_01_CAPACITY, abs=1e-9)
         oracle = grid_projective_max_mi(config)
         assert value >= oracle - 1e-8
+
+    def test_two_paths_reach_the_best_projective_measurement(self):
+        # Two-outcome projective measurements in the span attain the
+        # accessible information of two pure states (Levitin, 1995), so the
+        # N = 2 value must reach their refined optimum on every pair.
+        shortfalls = []
+        for k in range(40):
+            d, alpha = 1 + k % 3, (1.0, 0.05)[k // 3 % 2]
+            config = sample_config(2, d, rng_stream(3301, k), alpha=alpha)
+            value = accessible_info_lower_bound(config, restarts=0)
+            shortfalls.append((refined_projective_max_mi(config) - value, k, d, alpha))
+        worst = max(shortfalls)
+        assert worst[0] <= 1e-12, f"shortfall {worst[0]:.3e} at (k, d, alpha) = {worst[1:]}"
 
     def test_deterministic_given_seed(self):
         config = overlap_config(0.3, probs=(0.6, 0.4))
@@ -218,6 +276,26 @@ class TestAccessibleInfoLowerBound:
         value = accessible_info_lower_bound(config, restarts=2, seed=seed)
         assert value >= pgm_mi - 1e-12
         assert value <= holevo_quantity(config) + 1e-9
+
+
+def no_search(coords, priors, rng):
+    raise AssertionError("the rank-one search ran")
+
+
+@pytest.mark.parametrize("config", [
+    sample_config(2, 2, rng_stream(3302, 0)),
+    identical_config(3, 2),
+    sample_config(5, 1, rng_stream(3302, 1)),
+], ids=["two-paths", "identical-3-2", "five-paths-d1"])
+def test_two_paths_and_rank_one_need_no_search(config, monkeypatch):
+    monkeypatch.setattr(information, "_ascend_rank_one_mi", no_search)
+    value = accessible_info_lower_bound(config, restarts=8)
+    core_mi = pure_duality_batch(config.priors.probs[None], config.detectors.states[None]).mi[0]
+    assert value >= core_mi
+    if config.n_paths > 2:
+        # Parallel states: the accessible information is exactly 0.
+        assert value == max(core_mi, 0.0)
+        assert value >= 0.0
 
 
 #: Stream addresses (10003, cell, k) of sample_config(N, N, alpha=0.05), with
